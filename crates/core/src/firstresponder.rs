@@ -184,6 +184,17 @@ impl SharedFreq {
 /// Coordinator/worker runtime: the coordinator (caller of
 /// [`FrRuntime::submit`]) stays on the critical path; the worker thread
 /// applies updates off-path and publishes them to [`SharedFreq`].
+///
+/// Deviation from the paper: its worker polls on a dedicated sibling
+/// hyperthread, but a poller on a shared host takes a whole CPU from
+/// the work it runs beside. This worker parks when its queue is empty,
+/// and `submit` unparks it after a successful push: one atomic swap,
+/// plus a futex wake only when the worker is actually parked. Measured
+/// on a 2-CPU Xeon VM: an idle runtime used 0 ms of CPU in 3 s instead
+/// of about 93 % of a CPU, and the submit→apply hand-off on the
+/// `live_chain` boost replay (`perfbench --trace 1`, two runs each)
+/// moved from p50 0.82–0.85 µs / p99 76–79 µs (polling) to
+/// p50 5.5–6.5 µs / p99 37–53 µs (parking).
 pub struct FrRuntime {
     queue: Arc<ArrayQueue<FreqUpdate>>,
     shfreq: Arc<SharedFreq>,
@@ -213,22 +224,21 @@ impl FrRuntime {
             std::thread::spawn(move || {
                 let mut applied = 0u64;
                 loop {
-                    match queue.pop() {
-                        Some(update) => {
-                            apply(update);
-                            shfreq.store(update.container, update.level);
-                            applied += 1;
-                        }
-                        None => {
-                            if stop.load(Ordering::Acquire) {
-                                return applied;
-                            }
-                            // The paper pins the worker to the sibling
-                            // hyperthread and polls; yielding keeps the
-                            // test environment civil.
-                            std::thread::yield_now();
-                        }
+                    // Read `stop` before draining, so every update pushed
+                    // before `shutdown` set it is applied by this pass.
+                    let stopping = stop.load(Ordering::Acquire);
+                    while let Some(update) = queue.pop() {
+                        apply(update);
+                        shfreq.store(update.container, update.level);
+                        applied += 1;
                     }
+                    if stopping {
+                        return applied;
+                    }
+                    // Park instead of polling (see the type's docs). An
+                    // unpark from `submit` that lands before this park
+                    // makes it return at once, so no wakeup is lost.
+                    std::thread::park();
                 }
             })
         };
@@ -242,16 +252,28 @@ impl FrRuntime {
         }
     }
 
-    /// Enqueue an update from the critical path. Lock-free, never blocks;
-    /// returns false (and counts a drop) if the queue is full.
+    /// Enqueue an update from the critical path and unpark the worker.
+    /// Lock-free, never blocks; returns false (and counts a drop) if the
+    /// queue is full.
     #[inline]
     pub fn submit(&mut self, update: FreqUpdate) -> bool {
         match self.queue.push(update) {
-            Ok(()) => true,
+            Ok(()) => {
+                self.wake_worker();
+                true
+            }
             Err(_) => {
                 self.dropped += 1;
                 false
             }
+        }
+    }
+
+    /// One atomic swap; a futex wake only when the worker is parked.
+    #[inline]
+    fn wake_worker(&self) {
+        if let Some(worker) = &self.worker {
+            worker.thread().unpark();
         }
     }
 
@@ -269,6 +291,7 @@ impl FrRuntime {
     /// of updates the worker applied over its lifetime.
     pub fn shutdown(mut self) -> u64 {
         self.stop.store(true, Ordering::Release);
+        self.wake_worker();
         self.worker
             .take()
             .expect("shutdown called once")
@@ -280,6 +303,7 @@ impl FrRuntime {
 impl Drop for FrRuntime {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
+        self.wake_worker();
         if let Some(w) = self.worker.take() {
             let _ = w.join();
         }
@@ -406,6 +430,47 @@ mod tests {
         assert!(rt.dropped() >= 1, "full queue must drop, got {ok} accepted");
         drop(tx);
         rt.shutdown();
+    }
+
+    /// Lost-wakeup regression: a worker that has gone idle (parked)
+    /// must still see an update submitted afterwards.
+    #[test]
+    fn runtime_wakes_parked_worker() {
+        use std::time::{Duration, Instant};
+        let mut rt = FrRuntime::spawn(2, 0, 8, |_u| {});
+        let shfreq = rt.shared_freq();
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(rt.submit(FreqUpdate {
+            from: NodeId(0),
+            container: ContainerId(1),
+            level: 5,
+        }));
+        let t0 = Instant::now();
+        while shfreq.load(ContainerId(1)) != 5 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(1),
+                "parked worker never applied the update"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(rt.shutdown(), 1);
+    }
+
+    /// An idle (parked) worker stops promptly on `shutdown` and on drop.
+    #[test]
+    fn idle_runtime_shuts_down_promptly() {
+        use std::time::{Duration, Instant};
+        let rt = FrRuntime::spawn(1, 0, 8, |_u| {});
+        std::thread::sleep(Duration::from_millis(20));
+        let t0 = Instant::now();
+        assert_eq!(rt.shutdown(), 0);
+        assert!(t0.elapsed() < Duration::from_millis(500), "shutdown hung");
+
+        let rt = FrRuntime::spawn(1, 0, 8, |_u| {});
+        std::thread::sleep(Duration::from_millis(20));
+        let t0 = Instant::now();
+        drop(rt);
+        assert!(t0.elapsed() < Duration::from_millis(500), "drop hung");
     }
 
     #[test]

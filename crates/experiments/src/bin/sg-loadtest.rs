@@ -101,11 +101,79 @@ use sg_telemetry::{
 use sg_workloads::{prepare, CalibrationOptions, Workload};
 use std::sync::Arc;
 
-fn arg(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// Every flag `sg-loadtest` accepts; each takes exactly one value.
+const FLAGS: &[&str] = &[
+    "--workload",
+    "--controller",
+    "--backend",
+    "--nodes",
+    "--max-replicas",
+    "--rate",
+    "--spikerate",
+    "--spikelen",
+    "--profile",
+    "--faults",
+    "--duration",
+    "--qos",
+    "--seed",
+    "--telemetry",
+    "--spans",
+    "--span-sample",
+    "--metrics",
+    "--metrics-interval",
+    "--metrics-listen",
+    "--slo-objective",
+    "--profile-out",
+];
+
+fn usage_exit(msg: &str) -> ! {
+    eprintln!("sg-loadtest: {msg}");
+    eprintln!(
+        "usage: sg-loadtest [FLAG VALUE]...  (flags: {})",
+        FLAGS.join(" ")
+    );
+    std::process::exit(2);
+}
+
+/// The command line, checked before any work starts: an unknown flag, a
+/// flag without a value, a repeated flag and (on lookup) a value that
+/// does not parse each exit 2 with a message naming the flag.
+struct Cli(Vec<(&'static str, String)>);
+
+impl Cli {
+    fn parse(mut args: impl Iterator<Item = String>) -> Cli {
+        let mut values: Vec<(&'static str, String)> = Vec::new();
+        while let Some(flag) = args.next() {
+            let Some(&name) = FLAGS.iter().find(|&&f| f == flag) else {
+                usage_exit(&format!("unknown flag '{flag}'"));
+            };
+            let value = match args.next() {
+                Some(v) if !v.starts_with("--") => v,
+                _ => usage_exit(&format!("{name} needs a value")),
+            };
+            if values.iter().any(|(f, _)| *f == name) {
+                usage_exit(&format!("{name} given more than once"));
+            }
+            values.push((name, value));
+        }
+        Cli(values)
+    }
+
+    fn get(&self, flag: &str) -> Option<&str> {
+        debug_assert!(FLAGS.contains(&flag), "{flag} is not in FLAGS");
+        self.0
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// The flag's value parsed as `T`, if the flag was given.
+    fn parsed<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
+        self.get(flag).map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| usage_exit(&format!("{flag}: cannot parse '{v}'")))
+        })
+    }
 }
 
 /// Open a JSONL export file, stamping the schema header as line 1 —
@@ -127,8 +195,8 @@ fn file_sink(path: &str, what: &str, schema: Option<&str>) -> SharedSink {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let workload = match arg(&args, "--workload").as_deref().unwrap_or("chain") {
+    let cli = Cli::parse(std::env::args().skip(1));
+    let workload = match cli.get("--workload").unwrap_or("chain") {
         "chain" => Workload::Chain,
         "read" => Workload::ReadUserTimeline,
         "compose" => Workload::ComposePost,
@@ -139,7 +207,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let live = match arg(&args, "--backend").as_deref().unwrap_or("sim") {
+    let live = match cli.get("--backend").unwrap_or("sim") {
         "sim" => false,
         "live" => true,
         other => {
@@ -147,26 +215,26 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let nodes: u32 = arg(&args, "--nodes").map_or(1, |v| v.parse().expect("--nodes"));
-    let seed: u64 = arg(&args, "--seed").map_or(42, |v| v.parse().expect("--seed"));
-    let default_duration = if live { 5 } else { 30 };
-    let duration: u64 =
-        arg(&args, "--duration").map_or(default_duration, |v| v.parse().expect("--duration"));
+    let nodes: u32 = cli.parsed("--nodes").unwrap_or(1);
+    let seed: u64 = cli.parsed("--seed").unwrap_or(42);
+    let duration: u64 = cli
+        .parsed("--duration")
+        .unwrap_or(if live { 5 } else { 30 });
+    let rate: Option<f64> = cli.parsed("--rate");
+    let spike_rate: Option<f64> = cli.parsed("--spikerate");
+    let spike_len_s: f64 = cli.parsed("--spikelen").unwrap_or(2.0);
+    let qos_ms: Option<f64> = cli.parsed("--qos");
 
     eprintln!("calibrating {workload:?} on {nodes} node(s) ...");
     let pw = prepare(workload, nodes, CalibrationOptions::default());
 
-    let rate: f64 = arg(&args, "--rate").map_or(pw.base_rate, |v| v.parse().expect("--rate"));
-    let spike_rate: f64 =
-        arg(&args, "--spikerate").map_or(rate * 1.75, |v| v.parse().expect("--spikerate"));
-    let spike_len_s: f64 = arg(&args, "--spikelen").map_or(2.0, |v| v.parse().expect("--spikelen"));
-    let qos = arg(&args, "--qos").map_or(pw.qos, |v| {
-        SimDuration::from_secs_f64(v.parse::<f64>().expect("--qos") / 1e3)
-    });
+    let rate = rate.unwrap_or(pw.base_rate);
+    let spike_rate = spike_rate.unwrap_or(rate * 1.75);
+    let qos = qos_ms.map_or(pw.qos, |ms| SimDuration::from_secs_f64(ms / 1e3));
 
-    let controller_name = arg(&args, "--controller").unwrap_or_else(|| "surgeguard".into());
-    let horizontal = matches!(controller_name.as_str(), "lsram" | "smart-hpa" | "sg-h");
-    let factory: Box<dyn ControllerFactory> = match controller_name.as_str() {
+    let controller_name = cli.get("--controller").unwrap_or("surgeguard");
+    let horizontal = matches!(controller_name, "lsram" | "smart-hpa" | "sg-h");
+    let factory: Box<dyn ControllerFactory> = match controller_name {
         "static" => Box::new(NoopFactory),
         "parties" => Box::new(PartiesFactory::default()),
         "caladan" => Box::new(CaladanFactory::default()),
@@ -183,8 +251,7 @@ fn main() {
         }
     };
     let default_replicas = if horizontal { 3 } else { 1 };
-    let max_replicas: u32 = arg(&args, "--max-replicas")
-        .map_or(default_replicas, |v| v.parse().expect("--max-replicas"));
+    let max_replicas: u32 = cli.parsed("--max-replicas").unwrap_or(default_replicas);
 
     let first_spike = if live {
         SimTime::from_secs(2)
@@ -203,8 +270,8 @@ fn main() {
         SpikePattern::constant(rate)
     };
 
-    let profile_spec = arg(&args, "--profile").unwrap_or_else(|| "spike".into());
-    let profile = ArrivalProfile::parse(&profile_spec, pattern, seed).unwrap_or_else(|e| {
+    let profile_spec = cli.get("--profile").unwrap_or("spike");
+    let profile = ArrivalProfile::parse(profile_spec, pattern, seed).unwrap_or_else(|e| {
         eprintln!("bad --profile: {e}");
         std::process::exit(2);
     });
@@ -220,8 +287,8 @@ fn main() {
     cfg.measure_start = warmup;
     cfg.seed = seed;
     cfg.max_replicas = max_replicas;
-    if let Some(path) = arg(&args, "--faults") {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+    if let Some(path) = cli.get("--faults") {
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read fault plan '{path}': {e}");
             std::process::exit(2);
         });
@@ -244,30 +311,24 @@ fn main() {
         if live { "live" } else { "sim" },
         profile.label(),
     );
-    let telemetry_path = arg(&args, "--telemetry");
-    let telemetry: Option<SharedSink> = telemetry_path
-        .as_ref()
-        .map(|p| file_sink(p, "telemetry", Some(TRACE_SCHEMA)));
-    let spans_path = arg(&args, "--spans");
-    let spans: Option<SharedSink> = spans_path
-        .as_ref()
-        .map(|p| file_sink(p, "span", Some(SPANS_SCHEMA)));
-    let metrics_path = arg(&args, "--metrics");
-    let metrics: Option<SharedSink> = metrics_path.as_ref().map(|p| file_sink(p, "metrics", None));
-    let profile_path = arg(&args, "--profile-out");
-    let profile_out: Option<SharedSink> = profile_path
-        .as_ref()
-        .map(|p| file_sink(p, "profile", Some(PROFILE_SCHEMA)));
-    let metrics_interval = SimDuration::from_millis(
-        arg(&args, "--metrics-interval").map_or(100, |v| v.parse().expect("--metrics-interval")),
-    );
-    let metrics_listen = arg(&args, "--metrics-listen");
+    let telemetry_path = cli.get("--telemetry");
+    let telemetry: Option<SharedSink> =
+        telemetry_path.map(|p| file_sink(p, "telemetry", Some(TRACE_SCHEMA)));
+    let spans_path = cli.get("--spans");
+    let spans: Option<SharedSink> = spans_path.map(|p| file_sink(p, "span", Some(SPANS_SCHEMA)));
+    let metrics_path = cli.get("--metrics");
+    let metrics: Option<SharedSink> = metrics_path.map(|p| file_sink(p, "metrics", None));
+    let profile_path = cli.get("--profile-out");
+    let profile_out: Option<SharedSink> =
+        profile_path.map(|p| file_sink(p, "profile", Some(PROFILE_SCHEMA)));
+    let metrics_interval =
+        SimDuration::from_millis(cli.parsed("--metrics-interval").unwrap_or(100));
+    let metrics_listen = cli.get("--metrics-listen").map(String::from);
     if metrics_listen.is_some() && !live {
         eprintln!("--metrics-listen needs --backend live (the simulator has no wall clock for a scraper to exist in)");
         std::process::exit(2);
     }
-    let slo_objective: f64 =
-        arg(&args, "--slo-objective").map_or(99.9, |v| v.parse().expect("--slo-objective"));
+    let slo_objective: f64 = cli.parsed("--slo-objective").unwrap_or(99.9);
     if !(0.0..100.0).contains(&slo_objective) {
         eprintln!("--slo-objective must be in [0, 100)");
         std::process::exit(2);
@@ -279,8 +340,8 @@ fn main() {
         agg_cfg.slo = SloConfig::default().with_objective_pct(slo_objective);
         Arc::new(AggRuntime::new(agg_cfg, nodes as usize))
     });
-    let sampler = match arg(&args, "--span-sample") {
-        Some(ratio) => match SpanSampler::parse_ratio(&ratio) {
+    let sampler = match cli.get("--span-sample") {
+        Some(ratio) => match SpanSampler::parse_ratio(ratio) {
             Some((n, m)) => SpanSampler::rate(n, m, seed),
             None => {
                 eprintln!("bad --span-sample '{ratio}' (want N/M with 1 <= N <= M)");
